@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, and the tier-1 suite.
+# Local CI gate: formatting, lints, the tier-1 suite and the workspace suite.
 #
 #   ./ci.sh            # run everything
 #   ./ci.sh --no-lint  # skip fmt/clippy (e.g. on toolchains without them)
@@ -24,6 +24,9 @@ cargo build --release
 
 echo "==> tier-1: cargo test -q"
 cargo test -q
+
+echo "==> workspace: every crate's unit, property and integration tests"
+cargo test --workspace -q
 
 echo "==> perf: cargo bench --no-run (benches stay compilable)"
 cargo bench --workspace --no-run

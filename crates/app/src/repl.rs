@@ -299,7 +299,7 @@ impl Repl {
                         format!(
                             "serving at http://{}\n\
                              \x20 requests {}  rejected {}  client errors {}\n\
-                             \x20 batches {} (full {}, deadline {})  \
+                             \x20 batches {} (full {}, partial {})  \
                              mean fill {:.2}/{}\n\
                              \x20 steady-state allocs in the batch kernel: {}\n",
                             handle.addr(),

@@ -27,7 +27,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use ds_camal::Camal;
 use ds_serve::{Client, ModelRegistry, ServeConfig, Server};
@@ -105,7 +105,7 @@ pub struct LoadReport {
     pub steady_allocs: u64,
     /// Mean batch fill over the timed phase, in `[0, 1]`.
     pub mean_batch_fill: f64,
-    /// Batches dispatched full vs by deadline expiry.
+    /// Batches dispatched full vs before every slot filled.
     pub full_batches: u64,
     /// See [`LoadReport::full_batches`].
     pub deadline_batches: u64,
@@ -396,7 +396,7 @@ pub fn run(config: &LoadConfig, model: &Camal) -> LoadReport {
 }
 
 /// Burst a deliberately under-provisioned server (one worker, four queue
-/// slots, slow deadline) until admission control trips. Returns
+/// slots) until admission control trips. Returns
 /// `(oks, rejected 503s, recovered)` — both counts must be nonzero for
 /// the probe to prove anything, and `recovered` shows the 503s stop once
 /// the burst drains (backpressure, not a wedge).
@@ -405,7 +405,6 @@ fn overload_probe(model: &Camal, window: usize) -> (u64, u64, bool) {
         ServeConfig {
             workers: 1,
             queue_depth: 4,
-            max_wait: Duration::from_millis(20),
             ..ServeConfig::default()
         },
         registry_with(model, window),
@@ -469,7 +468,7 @@ pub fn render(report: &LoadReport) -> String {
          \x20 throughput {:.0} req/s (elapsed {:.2} s; direct baseline {:.2} s, {:.2}x)\n\
          \x20 latency p50 {:.2} ms  p99 {:.2} ms\n\
          \x20 oracle: {} flips, max probability delta {:.1e}, {} errors\n\
-         \x20 batching: mean fill {:.2} ({} full, {} deadline), steady allocs {}\n\
+         \x20 batching: mean fill {:.2} ({} full, {} partial), steady allocs {}\n\
          \x20 streaming: {} push oks\n\
          \x20 overload probe: {} ok, {} rejected (503), recovered: {}\n",
         report.requests,

@@ -91,8 +91,10 @@ impl Histogram {
             .bounds
             .partition_point(|&bound| bound < value)
             .min(self.counts.len() - 1);
-        self.counts[idx].fetch_add(1, Ordering::Relaxed);
+        // Count under the moments lock so a concurrent summary never sees
+        // a bucket count its min/max do not cover yet.
         let mut m = self.moments.lock();
+        self.counts[idx].fetch_add(1, Ordering::Relaxed);
         m.sum += value;
         m.min = m.min.min(value);
         m.max = m.max.max(value);
@@ -119,13 +121,13 @@ impl Histogram {
     }
 
     fn summary(&self) -> HistogramSummary {
+        let m = self.moments.lock();
         let counts: Vec<u64> = self
             .counts
             .iter()
             .map(|c| c.load(Ordering::Relaxed))
             .collect();
         let count: u64 = counts.iter().sum();
-        let m = self.moments.lock();
         let (min, max, mean) = if count == 0 {
             (0.0, 0.0, 0.0)
         } else {
@@ -140,9 +142,11 @@ impl Histogram {
             for (i, &c) in counts.iter().enumerate() {
                 cumulative += c;
                 if cumulative >= rank {
-                    // Report the bucket's upper bound; the overflow bucket
-                    // has none, so fall back to the observed max.
-                    return self.bounds.get(i).copied().unwrap_or(max);
+                    // Report the bucket's upper bound, clamped to the
+                    // observed range (a bound can lie past the max); the
+                    // overflow bucket has none. `max`/`min` rather than
+                    // `clamp`, which panics if only NaN was observed.
+                    return self.bounds.get(i).map_or(max, |b| b.max(min).min(max));
                 }
             }
             max
@@ -160,7 +164,8 @@ impl Histogram {
 }
 
 /// Point-in-time digest of one histogram. Quantiles are upper bounds of
-/// the bucket containing the rank, so `p50 <= p90 <= p99` always holds.
+/// the bucket containing the rank, clamped to the observed range, so
+/// `min <= p50 <= p90 <= p99 <= max` always holds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HistogramSummary {
     pub count: u64,

@@ -25,24 +25,49 @@ proptest! {
         prop_assert_eq!(s.count, values.len() as u64);
         prop_assert!(s.p50 <= s.p90, "p50 {} > p90 {}", s.p50, s.p90);
         prop_assert!(s.p90 <= s.p99, "p90 {} > p99 {}", s.p90, s.p99);
-        // Each quantile is an upper bucket bound, so it sits at or above
-        // the true minimum and at or below one bucket past the maximum.
+        // Each quantile is an upper bucket bound clamped to the observed
+        // range, so it sits within [min, max].
         prop_assert!(s.p50 >= s.min);
-        prop_assert!(s.p99 <= (s.max * 20.0).ceil() / 20.0 + 1e-12);
+        prop_assert!(s.p99 <= s.max);
         prop_assert!(s.min <= s.mean && s.mean <= s.max);
     }
 
-    /// A single observation lands in the bucket whose upper bound is the
-    /// smallest bound >= value, and every quantile reports that bound.
+    /// Whatever the samples and bucket layout — values below the first
+    /// bound, inside buckets, or in overflow — quantiles never leave the
+    /// observed range: `min <= p50 <= p90 <= p99 <= max`.
     #[test]
-    fn single_value_lands_on_enclosing_bound(v in 0.0f64..=1.0) {
+    fn quantiles_stay_within_the_observed_range(
+        values in prop::collection::vec(-1.0f64..1e3, 1..200),
+        layout in 0u8..3,
+    ) {
+        let buckets = [
+            Buckets::Unit,
+            Buckets::DurationSecs,
+            Buckets::Custom(&[0.0, 0.3, 10.0, 500.0]),
+        ][layout as usize];
+        let registry = Registry::new();
+        for &v in &values {
+            registry.observe("h", v, buckets);
+        }
+        let s = registry.histogram_summary("h").unwrap();
+        let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        prop_assert_eq!((s.min, s.max), (lo, hi));
+        prop_assert!(
+            s.min <= s.p50 && s.p50 <= s.p90 && s.p90 <= s.p99 && s.p99 <= s.max,
+            "min {} p50 {} p90 {} p99 {} max {}", s.min, s.p50, s.p90, s.p99, s.max
+        );
+    }
+
+    /// A single observation is the whole observed range, so every
+    /// quantile reports the value itself, not its bucket's bound.
+    #[test]
+    fn single_value_reports_itself(v in 0.0f64..=1.0) {
         let registry = Registry::new();
         registry.observe("one", v, Buckets::Unit);
         let s = registry.histogram_summary("one").unwrap();
-        let expected_bound = (v * 20.0).ceil().max(1.0) / 20.0;
-        prop_assert!((s.p50 - expected_bound).abs() < 1e-9,
-            "value {} -> p50 {} (expected bound {})", v, s.p50, expected_bound);
-        prop_assert_eq!(s.p50, s.p99);
+        prop_assert_eq!(s.p50, v);
+        prop_assert_eq!(s.p99, v);
         prop_assert_eq!(s.min, v);
         prop_assert_eq!(s.max, v);
     }

@@ -1,21 +1,23 @@
 //! The cross-request micro-batch collector.
 //!
-//! Window jobs (detect/localize) for the same [`PlanKey`] accumulate in a
-//! per-key pending batch. A batch becomes dispatchable when it **fills**
-//! (`batch_windows` slots, sized to the arena chunk) or when its
-//! **deadline** expires (`max_wait` after the batch's first window
-//! arrived) — whichever comes first. Workers block on a condvar and take
-//! one dispatchable batch (or one unbatchable series job) at a time.
+//! Dispatch is **work-conserving**: a worker that asks for work gets the
+//! oldest pending unit at once, however full it is, so no request ever
+//! waits on a timer. A unit is either a batch of detect/localize windows
+//! for one [`PlanKey`], ordered by its first window's arrival, or one
+//! status-series job. Batches form only under load: windows that arrive
+//! while every worker is busy join their key's open batch (up to
+//! `batch_windows` slots, sized to the arena chunk), and the next free
+//! worker takes the whole batch in one kernel call. A full batch goes
+//! ahead of older partial ones, since it is the best use of a call.
 //!
 //! Admission is bounded: `queue_depth` caps the total queued jobs across
 //! all keys; past it, submissions are rejected immediately and the HTTP
 //! layer answers 503. That makes overload visible to clients instead of
 //! letting latency collapse silently.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::mpsc::SyncSender;
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 use ds_camal::CamalError;
 use ds_timeseries::{Status, TimeSeries};
@@ -70,12 +72,10 @@ pub(crate) struct SeriesJob {
 
 /// One unit a worker takes from the collector.
 pub(crate) enum Work {
+    /// Windows for one plan; at most `batch_windows` of them.
     Batch {
         key: PlanKey,
         jobs: Vec<WindowJob>,
-        /// True when the batch dispatched because it filled every slot
-        /// (vs its deadline expiring).
-        full: bool,
     },
     Series(SeriesJob),
 }
@@ -89,15 +89,10 @@ pub(crate) enum SubmitError {
     ShuttingDown,
 }
 
-struct Pending {
-    jobs: Vec<WindowJob>,
-    /// Dispatch-at-latest instant, armed when the first window arrived.
-    deadline: Instant,
-}
-
 struct State {
-    batches: BTreeMap<PlanKey, Pending>,
-    series: VecDeque<SeriesJob>,
+    /// Pending units in order of their first job's arrival. A key's open
+    /// (unfilled) batch is always its last one in the queue.
+    units: VecDeque<Work>,
     /// Total queued jobs (windows + series) across all keys.
     queued: usize,
     shutdown: bool,
@@ -107,22 +102,19 @@ pub(crate) struct Collector {
     state: Mutex<State>,
     ready: Condvar,
     batch_windows: usize,
-    max_wait: Duration,
     queue_depth: usize,
 }
 
 impl Collector {
-    pub fn new(batch_windows: usize, max_wait: Duration, queue_depth: usize) -> Collector {
+    pub fn new(batch_windows: usize, queue_depth: usize) -> Collector {
         Collector {
             state: Mutex::new(State {
-                batches: BTreeMap::new(),
-                series: VecDeque::new(),
+                units: VecDeque::new(),
                 queued: 0,
                 shutdown: false,
             }),
             ready: Condvar::new(),
             batch_windows: batch_windows.clamp(1, ds_camal::WINDOW_CHUNK),
-            max_wait,
             queue_depth: queue_depth.max(1),
         }
     }
@@ -138,37 +130,31 @@ impl Collector {
     }
 
     pub fn submit_window(&self, job: WindowJob) -> Result<(), SubmitError> {
-        let mut state = self.state.lock().unwrap();
-        self.admit(&mut state)?;
-        let deadline = Instant::now() + self.max_wait;
-        state
-            .batches
-            .entry(job.key.clone())
-            .or_insert_with(|| Pending {
-                jobs: Vec::with_capacity(self.batch_windows),
-                deadline,
-            })
-            .jobs
-            .push(job);
-        state.queued += 1;
-        ds_obs::gauge_set("serve.queue_depth", state.queued as f64);
-        drop(state);
-        self.ready.notify_one();
-        Ok(())
+        self.submit(|units| {
+            // Only a key's last batch can have a free slot.
+            let last = units.iter_mut().rev().find_map(|unit| match unit {
+                Work::Batch { key, jobs } if *key == job.key => Some(jobs),
+                _ => None,
+            });
+            match last {
+                Some(jobs) if jobs.len() < self.batch_windows => jobs.push(job),
+                _ => {
+                    let mut jobs = Vec::with_capacity(self.batch_windows);
+                    let key = job.key.clone();
+                    jobs.push(job);
+                    units.push_back(Work::Batch { key, jobs });
+                }
+            }
+        })
     }
 
     pub fn submit_series(&self, job: SeriesJob) -> Result<(), SubmitError> {
-        let mut state = self.state.lock().unwrap();
-        self.admit(&mut state)?;
-        state.series.push_back(job);
-        state.queued += 1;
-        ds_obs::gauge_set("serve.queue_depth", state.queued as f64);
-        drop(state);
-        self.ready.notify_one();
-        Ok(())
+        self.submit(|units| units.push_back(Work::Series(job)))
     }
 
-    fn admit(&self, state: &mut State) -> Result<(), SubmitError> {
+    /// Admit one job, queue it with `enqueue`, and wake an idle worker.
+    fn submit(&self, enqueue: impl FnOnce(&mut VecDeque<Work>)) -> Result<(), SubmitError> {
+        let mut state = self.state.lock().unwrap();
         if state.shutdown {
             return Err(SubmitError::ShuttingDown);
         }
@@ -177,6 +163,11 @@ impl Collector {
                 depth: self.queue_depth,
             });
         }
+        enqueue(&mut state.units);
+        state.queued += 1;
+        ds_obs::gauge_set("serve.queue_depth", state.queued as f64);
+        drop(state);
+        self.ready.notify_one();
         Ok(())
     }
 
@@ -185,74 +176,29 @@ impl Collector {
     pub fn next_work(&self) -> Option<Work> {
         let mut state = self.state.lock().unwrap();
         loop {
-            let now = Instant::now();
-            // Full batches dispatch immediately, regardless of deadline.
-            if let Some(key) = state
-                .batches
-                .iter()
-                .find(|(_, p)| p.jobs.len() >= self.batch_windows)
-                .map(|(k, _)| k.clone())
-            {
-                return Some(self.take_batch(&mut state, key, true));
+            // A full batch is the best use of a kernel call, so it goes
+            // first; otherwise this worker is idle and the oldest unit
+            // goes now, however full.
+            let full = state.units.iter().position(
+                |unit| matches!(unit, Work::Batch { jobs, .. } if jobs.len() >= self.batch_windows),
+            );
+            if let Some(work) = state.units.remove(full.unwrap_or(0)) {
+                state.queued -= match &work {
+                    Work::Batch { jobs, .. } => jobs.len(),
+                    Work::Series(_) => 1,
+                };
+                ds_obs::gauge_set("serve.queue_depth", state.queued as f64);
+                return Some(work);
             }
             if state.shutdown {
-                // Draining: flush everything as it stands.
-                if let Some(key) = state.batches.keys().next().cloned() {
-                    return Some(self.take_batch(&mut state, key, false));
-                }
-                if let Some(job) = state.series.pop_front() {
-                    state.queued -= 1;
-                    return Some(Work::Series(job));
-                }
                 return None;
             }
-            // Deadline-expired partial batches.
-            if let Some(key) = state
-                .batches
-                .iter()
-                .find(|(_, p)| p.deadline <= now)
-                .map(|(k, _)| k.clone())
-            {
-                return Some(self.take_batch(&mut state, key, false));
-            }
-            // Series jobs fill worker idle time between batch deadlines.
-            if let Some(job) = state.series.pop_front() {
-                state.queued -= 1;
-                ds_obs::gauge_set("serve.queue_depth", state.queued as f64);
-                return Some(Work::Series(job));
-            }
-            // Sleep until the earliest pending deadline or a submit.
-            let earliest = state.batches.values().map(|p| p.deadline).min();
-            state = match earliest {
-                Some(deadline) => {
-                    let wait = deadline.saturating_duration_since(now);
-                    self.ready.wait_timeout(state, wait).unwrap().0
-                }
-                None => self.ready.wait(state).unwrap(),
-            };
+            state = self.ready.wait(state).unwrap();
         }
     }
 
-    fn take_batch(&self, state: &mut State, key: PlanKey, full: bool) -> Work {
-        let mut pending = state.batches.remove(&key).expect("pending batch vanished");
-        let jobs = if pending.jobs.len() > self.batch_windows {
-            // More windows queued than one batch holds: take one chunk,
-            // keep the remainder (original deadline — they've waited).
-            let rest = pending.jobs.split_off(self.batch_windows);
-            let taken = std::mem::replace(&mut pending.jobs, rest);
-            state.batches.insert(key.clone(), pending);
-            taken
-        } else {
-            pending.jobs
-        };
-        state.queued -= jobs.len();
-        ds_obs::gauge_set("serve.queue_depth", state.queued as f64);
-        Work::Batch { key, jobs, full }
-    }
-
-    /// Begin draining: further submissions are rejected, queued work is
-    /// flushed immediately (no deadline waits), and workers exit once the
-    /// queue is empty.
+    /// Begin draining: further submissions are rejected, workers take
+    /// what is queued, and exit once the queue is empty.
     pub fn shutdown(&self) {
         self.state.lock().unwrap().shutdown = true;
         self.ready.notify_all();
@@ -264,6 +210,8 @@ mod tests {
     use super::*;
     use ds_camal::Precision;
     use std::sync::mpsc::sync_channel;
+    use std::sync::Arc;
+    use std::time::Duration;
 
     fn key(window: usize) -> PlanKey {
         PlanKey {
@@ -275,82 +223,130 @@ mod tests {
         }
     }
 
-    fn job(window: usize) -> (WindowJob, std::sync::mpsc::Receiver<WindowResult>) {
-        let (tx, rx) = sync_channel(1);
-        (
-            WindowJob {
-                key: key(window),
-                window: vec![0.0; window],
-                kind: JobKind::Detect,
-                tx,
-            },
-            rx,
-        )
+    /// A detect job whose window's first sample tags it, so tests can
+    /// tell which submission came back in which batch.
+    fn tagged(window: usize, tag: f32) -> WindowJob {
+        let (tx, _rx) = sync_channel(1);
+        let mut samples = vec![0.0; window];
+        samples[0] = tag;
+        WindowJob {
+            key: key(window),
+            window: samples,
+            kind: JobKind::Detect,
+            tx,
+        }
+    }
+
+    fn series(window: usize) -> SeriesJob {
+        let (tx, _rx) = sync_channel(1);
+        SeriesJob {
+            key: key(window),
+            series: TimeSeries::zeros(0, 60, window),
+            window,
+            tx,
+        }
+    }
+
+    /// The next unit as `(window length, tags)` of a batch, or `None` for
+    /// a series job.
+    fn next(collector: &Collector) -> Option<(usize, Vec<f32>)> {
+        match collector.next_work().expect("collector is not shut down") {
+            Work::Batch { key, jobs } => {
+                Some((key.window, jobs.iter().map(|j| j.window[0]).collect()))
+            }
+            Work::Series(_) => None,
+        }
     }
 
     #[test]
-    fn full_batch_dispatches_before_deadline() {
-        let collector = Collector::new(4, Duration::from_secs(3600), 64);
+    fn full_batch_dispatches_first() {
+        let collector = Collector::new(4, 64);
+        collector.submit_window(tagged(32, 0.0)).unwrap();
         for _ in 0..4 {
-            collector.submit_window(job(16).0).unwrap();
+            collector.submit_window(tagged(16, 0.0)).unwrap();
         }
-        match collector.next_work().unwrap() {
-            Work::Batch { jobs, full, .. } => {
-                assert_eq!(jobs.len(), 4);
-                assert!(full);
-            }
-            Work::Series(_) => panic!("expected a batch"),
-        }
+        assert_eq!(next(&collector), Some((16, vec![0.0; 4])));
+        assert_eq!(next(&collector), Some((32, vec![0.0])));
         assert_eq!(collector.queued(), 0);
     }
 
     #[test]
-    fn deadline_flushes_a_partial_batch() {
-        let collector = Collector::new(16, Duration::from_millis(5), 64);
-        collector.submit_window(job(16).0).unwrap();
-        let started = Instant::now();
-        match collector.next_work().unwrap() {
-            Work::Batch { jobs, full, .. } => {
-                assert_eq!(jobs.len(), 1);
-                assert!(!full);
-            }
-            Work::Series(_) => panic!("expected a batch"),
+    fn idle_worker_takes_a_lone_window_at_once() {
+        let collector = Arc::new(Collector::new(16, 64));
+        let (tx, rx) = sync_channel(1);
+        let worker = {
+            let collector = Arc::clone(&collector);
+            std::thread::spawn(move || {
+                let _ = tx.send(next(&collector));
+            })
+        };
+        collector.submit_window(tagged(16, 7.0)).unwrap();
+        // No further submit and no timer: the waiting worker must get the
+        // one-window batch. A regression fails here instead of hanging.
+        let got = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("an idle worker left a lone window queued");
+        assert_eq!(got, Some((16, vec![7.0])));
+        worker.join().unwrap();
+        assert_eq!(collector.queued(), 0);
+    }
+
+    #[test]
+    fn windows_queued_while_workers_are_busy_leave_as_one_batch() {
+        let collector = Collector::new(4, 64);
+        for tag in 0..6 {
+            collector.submit_window(tagged(16, tag as f32)).unwrap();
         }
-        assert!(started.elapsed() >= Duration::from_millis(4));
+        // Capped at `batch_windows`; the remainder keeps arrival order.
+        assert_eq!(next(&collector), Some((16, vec![0.0, 1.0, 2.0, 3.0])));
+        assert_eq!(next(&collector), Some((16, vec![4.0, 5.0])));
+        assert_eq!(collector.queued(), 0);
+    }
+
+    #[test]
+    fn units_dispatch_oldest_first_across_keys() {
+        let collector = Collector::new(16, 64);
+        collector.submit_window(tagged(16, 0.0)).unwrap();
+        collector.submit_series(series(16)).unwrap();
+        collector.submit_window(tagged(32, 1.0)).unwrap();
+        collector.submit_window(tagged(16, 2.0)).unwrap();
+        // Key 16's batch is the oldest unit and takes its later window too.
+        assert_eq!(next(&collector), Some((16, vec![0.0, 2.0])));
+        // A steady stream on key 16 queues behind the older units.
+        collector.submit_window(tagged(16, 3.0)).unwrap();
+        assert_eq!(next(&collector), None);
+        collector.submit_window(tagged(16, 4.0)).unwrap();
+        assert_eq!(next(&collector), Some((32, vec![1.0])));
+        assert_eq!(next(&collector), Some((16, vec![3.0, 4.0])));
+        assert_eq!(collector.queued(), 0);
     }
 
     #[test]
     fn queue_bound_rejects_with_a_typed_error() {
-        let collector = Collector::new(16, Duration::from_secs(1), 2);
-        collector.submit_window(job(16).0).unwrap();
-        collector.submit_window(job(16).0).unwrap();
-        let err = collector.submit_window(job(16).0).unwrap_err();
+        let collector = Collector::new(16, 2);
+        collector.submit_window(tagged(16, 0.0)).unwrap();
+        collector.submit_series(series(16)).unwrap();
+        let err = collector.submit_window(tagged(16, 0.0)).unwrap_err();
         assert_eq!(err, SubmitError::QueueFull { depth: 2 });
     }
 
     #[test]
     fn distinct_keys_never_share_a_batch() {
-        let collector = Collector::new(16, Duration::from_millis(1), 64);
-        collector.submit_window(job(16).0).unwrap();
-        collector.submit_window(job(32).0).unwrap();
-        let mut sizes = Vec::new();
-        for _ in 0..2 {
-            match collector.next_work().unwrap() {
-                Work::Batch { jobs, .. } => sizes.push(jobs.len()),
-                Work::Series(_) => panic!("expected batches"),
-            }
-        }
-        assert_eq!(sizes, vec![1, 1]);
+        let collector = Collector::new(16, 64);
+        collector.submit_window(tagged(16, 0.0)).unwrap();
+        collector.submit_window(tagged(32, 0.0)).unwrap();
+        assert_eq!(next(&collector), Some((16, vec![0.0])));
+        assert_eq!(next(&collector), Some((32, vec![0.0])));
     }
 
     #[test]
-    fn shutdown_flushes_then_ends() {
-        let collector = Collector::new(16, Duration::from_secs(3600), 64);
-        collector.submit_window(job(16).0).unwrap();
+    fn shutdown_drains_then_ends() {
+        let collector = Collector::new(16, 64);
+        collector.submit_window(tagged(16, 0.0)).unwrap();
         collector.shutdown();
         assert!(matches!(collector.next_work(), Some(Work::Batch { .. })));
         assert!(collector.next_work().is_none());
-        let err = collector.submit_window(job(16).0).unwrap_err();
+        let err = collector.submit_window(tagged(16, 0.0)).unwrap_err();
         assert_eq!(err, SubmitError::ShuttingDown);
     }
 }

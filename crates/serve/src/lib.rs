@@ -9,19 +9,22 @@
 //!
 //! ## The perf core: the micro-batch collector
 //!
-//! A lone HTTP request would pay a one-window `localize_batch_into` call,
-//! wasting the [`ds_camal`] arena's `WINDOW_CHUNK = 16` batch slots the
-//! frozen kernels were shaped for. Instead, every `detect`/`localize`
-//! request is queued into a [collector](batch) keyed by
-//! [`PlanKey`](registry::PlanKey) = (preset, appliance, window length,
-//! precision). A batch dispatches when it **fills** (16 windows) or when
-//! its **deadline** expires (`max_wait`, default 2 ms) — p99 latency is
-//! traded explicitly against req/s instead of every request paying an
-//! under-filled kernel call. Batching cannot change results: windows in a
-//! batch are computed independently (per-window z-norm, per-window CAM),
-//! and a `PlanKey` fixes the window length, so batches are always
-//! homogeneous. The loadtest oracle and `tests/serve_concurrency.rs`
-//! verify zero decision flips against direct per-request calls.
+//! The frozen kernels were shaped for the [`ds_camal`] arena's
+//! `WINDOW_CHUNK = 16` batch slots, and one batch call pays the worker
+//! handoff and per-call overhead once for all its windows. Every
+//! `detect`/`localize` request is therefore queued into a
+//! [collector](batch) keyed by [`PlanKey`](registry::PlanKey) = (preset,
+//! appliance, window length, precision). Dispatch is work-conserving: an
+//! idle worker takes the oldest pending batch at once, however full it
+//! is, so a lone request never waits on a timer. Batches form only under
+//! load — windows that arrive while every worker is busy accumulate per
+//! key (up to 16), and the next free worker runs them as one kernel call
+//! — so fill rises with offered load instead of being bought with
+//! latency. Batching cannot change results: windows in a batch are
+//! computed independently (per-window z-norm, per-window CAM), and a
+//! `PlanKey` fixes the window length, so batches are always homogeneous.
+//! The loadtest oracle and `tests/serve_concurrency.rs` verify zero
+//! decision flips against direct per-request calls.
 //!
 //! ## Plans, arenas, allocations
 //!
@@ -43,7 +46,6 @@
 //! fill-ratio histogram, and a queue-depth gauge.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 mod api;
 mod batch;
@@ -65,11 +67,10 @@ pub struct ServeConfig {
     /// Inference worker threads (each owns a clone of every plan it
     /// serves). Defaults to `ds_par::threads()`.
     pub workers: usize,
-    /// Micro-batch deadline: a partially filled batch dispatches at most
-    /// this long after its first window arrived.
-    pub max_wait: Duration,
-    /// Windows per dispatched batch; capped at the arena chunk
-    /// ([`ds_camal::WINDOW_CHUNK`]) — larger values buy nothing.
+    /// Most windows one dispatched batch carries; capped at the arena chunk
+    /// ([`ds_camal::WINDOW_CHUNK`]) — larger values buy nothing. Batches
+    /// dispatch as soon as a worker is free, so they reach this size only
+    /// while every worker is busy.
     pub batch_windows: usize,
     /// Maximum queued jobs (windows + series) across all plans before the
     /// collector rejects with 503.
@@ -90,7 +91,6 @@ impl Default for ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: ds_par::threads(),
-            max_wait: Duration::from_millis(2),
             batch_windows: ds_camal::WINDOW_CHUNK,
             queue_depth: 256,
             max_connections: 64,
@@ -119,7 +119,8 @@ pub struct ServerStats {
     pub batched_windows: AtomicU64,
     /// Batches dispatched because they filled all slots.
     pub full_batches: AtomicU64,
-    /// Batches dispatched because their deadline expired first.
+    /// Batches dispatched before every slot filled (an idle worker took
+    /// them at once).
     pub deadline_batches: AtomicU64,
     /// Heap allocations observed *inside* batched kernel calls after plan
     /// warmup. The contract is zero; the loadtest asserts it.

@@ -68,7 +68,7 @@ impl Server {
             ds_obs::Quantile::P99,
             0.050,
         );
-        let collector = Collector::new(config.batch_windows, config.max_wait, config.queue_depth);
+        let collector = Collector::new(config.batch_windows, config.queue_depth);
         let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
             config,
@@ -247,13 +247,13 @@ fn worker_loop(shared: &Arc<Shared>) {
     let mut states = Vec::new();
     while let Some(work) = shared.collector.next_work() {
         match work {
-            Work::Batch { key, jobs, full } => {
+            Work::Batch { key, jobs } => {
                 let stats = &shared.stats;
                 stats.batches.fetch_add(1, Ordering::Relaxed);
                 stats
                     .batched_windows
                     .fetch_add(jobs.len() as u64, Ordering::Relaxed);
-                if full {
+                if jobs.len() >= shared.collector.batch_windows() {
                     stats.full_batches.fetch_add(1, Ordering::Relaxed);
                 } else {
                     stats.deadline_batches.fetch_add(1, Ordering::Relaxed);

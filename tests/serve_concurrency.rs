@@ -18,7 +18,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, OnceLock};
-use std::time::Duration;
 
 use devicescope::camal::{Camal, CamalConfig, Precision};
 use devicescope::datasets::labels::Corpus;
@@ -280,7 +279,6 @@ fn shallow_queue_sheds_load_and_recovers() {
         ServeConfig {
             workers: 1,
             queue_depth: 2,
-            max_wait: Duration::from_millis(25),
             ..ServeConfig::default()
         },
         registry(),
